@@ -7,16 +7,22 @@
 //! entry changes) are scheduled as timed [`Command`]s, so experiments can
 //! reprogram the network *while traffic is in flight* — the whole point of
 //! FlexNet.
+//!
+//! Events come from two sources merged by `(at, seq)`: a heap of scheduled
+//! commands and in-flight hops, and the pre-sorted stream of loaded
+//! departures, so event order is exactly that of one combined queue. Each
+//! hop runs on its device as a burst of one.
 
 use crate::metrics::{LossKind, Metrics};
 use crate::topology::{NodeKind, Topology};
 use crate::workload::Departure;
 use flexnet_dataplane::reconfig::ReconfigReport;
 use flexnet_dataplane::table::{KeyMatch, TableEntry};
+use flexnet_dataplane::ProcessResult;
 use flexnet_lang::diff::ProgramBundle;
 use flexnet_types::{LinkId, NodeId, Packet, SimDuration, SimTime, Verdict};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, BTreeMap};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// Maximum hops before a packet is declared looping.
 pub const HOP_LIMIT: u64 = 32;
@@ -219,6 +225,10 @@ pub struct Simulation {
     pub topo: Topology,
     routes: BTreeMap<(NodeId, NodeId), LinkId>,
     queue: BinaryHeap<Reverse<Event>>,
+    /// Loaded departures with their sequence numbers, in `(at, seq)` order.
+    departures: VecDeque<(u64, Departure)>,
+    /// Reused result buffer for each hop's burst of one.
+    results: Vec<ProcessResult>,
     /// Collected metrics.
     pub metrics: Metrics,
     now: SimTime,
@@ -241,6 +251,8 @@ impl Simulation {
             topo,
             routes,
             queue: BinaryHeap::new(),
+            departures: VecDeque::new(),
+            results: Vec::with_capacity(1),
             metrics: Metrics::default(),
             now: SimTime::ZERO,
             seq: 0,
@@ -289,36 +301,79 @@ impl Simulation {
     }
 
     /// Loads a generated packet schedule.
+    ///
+    /// Each departure gets its sequence number in input order, exactly as
+    /// if it were [`Simulation::schedule`]d as a [`Command::Inject`], but
+    /// waits in the departure stream rather than the event heap.
     pub fn load(&mut self, departures: Vec<Departure>) {
-        for d in departures {
-            self.schedule(
-                d.at,
-                Command::Inject {
-                    node: d.node,
-                    packet: d.packet,
-                },
-            );
+        let mut batch: Vec<(u64, Departure)> = departures
+            .into_iter()
+            .map(|d| {
+                self.seq += 1;
+                (self.seq, d)
+            })
+            .collect();
+        // Sequence numbers ascend in input order, so a stable sort by time
+        // is the `(at, seq)` order; `generate` output is already in it.
+        if !batch.is_sorted_by_key(|(_, d)| d.at) {
+            batch.sort_by_key(|(_, d)| d.at);
+        }
+        let last_waiting = self.departures.back().map(|(_, d)| d.at);
+        let first_new = batch.first().map(|(_, d)| d.at);
+        match (last_waiting, first_new) {
+            (None, _) => self.departures = batch.into(),
+            (Some(last), Some(first)) if first < last => {
+                // Every new sequence number is larger, so at equal times
+                // the departures already waiting go first.
+                let mut waiting = std::mem::take(&mut self.departures).into_iter().peekable();
+                let mut merged = VecDeque::with_capacity(waiting.len() + batch.len());
+                for b in batch {
+                    while let Some(w) = waiting.next_if(|(_, w)| w.at <= b.1.at) {
+                        merged.push_back(w);
+                    }
+                    merged.push_back(b);
+                }
+                merged.extend(waiting);
+                self.departures = merged;
+            }
+            _ => self.departures.extend(batch),
         }
     }
 
-    /// Runs until the queue is empty or time exceeds `until`.
+    /// The time of the next event by `(at, seq)`, and whether it is a
+    /// departure rather than a heap event.
+    fn next_event(&self) -> Option<(SimTime, bool)> {
+        let heap = self.queue.peek().map(|Reverse(e)| (e.at, e.seq));
+        let stream = self.departures.front().map(|(seq, d)| (d.at, *seq));
+        match (heap, stream) {
+            (Some(h), Some(s)) if s < h => Some((s.0, true)),
+            (Some(h), _) => Some((h.0, false)),
+            (None, Some(s)) => Some((s.0, true)),
+            (None, None) => None,
+        }
+    }
+
+    /// Runs until no events remain or the next one is after `until`.
     pub fn run(&mut self, until: SimTime) {
-        while let Some(Reverse(ev)) = self.queue.peek() {
-            if ev.at > until {
+        while let Some((at, departure)) = self.next_event() {
+            if at > until {
                 break;
             }
-            let Reverse(ev) = self.queue.pop().expect("peeked above");
-            self.now = self.now.max(ev.at);
-            match ev.kind {
-                EventKind::Command(cmd) => self.exec_command(cmd),
-                EventKind::Arrive { node, packet } => self.arrive(node, packet),
+            self.now = self.now.max(at);
+            if departure {
+                let (_, d) = self.departures.pop_front().expect("peeked above");
+                self.inject(d.node, d.packet);
+            } else {
+                let Reverse(ev) = self.queue.pop().expect("peeked above");
+                match ev.kind {
+                    EventKind::Command(cmd) => self.exec_command(cmd),
+                    EventKind::Arrive { node, packet } => self.arrive(node, packet),
+                }
             }
         }
         // Let devices commit any reconfig that completes before `until`.
-        for id in self.topo.node_ids() {
-            if let Some(n) = self.topo.node_mut(id) {
-                n.device.tick(until);
-            }
+        for n in self.topo.nodes_mut() {
+            n.device.tick(until);
         }
         self.now = self.now.max(until);
     }
@@ -331,14 +386,7 @@ impl Simulation {
     fn exec_command(&mut self, cmd: Command) {
         let now = self.now;
         match cmd {
-            Command::Inject { node, packet } => {
-                self.metrics.record_sent();
-                let mut packet = packet;
-                if packet.ingress_time == SimTime::ZERO {
-                    packet.ingress_time = now;
-                }
-                self.arrive(node, packet);
-            }
+            Command::Inject { node, packet } => self.inject(node, packet),
             Command::Install { node, bundle } => {
                 let r = self
                     .topo
@@ -449,15 +497,27 @@ impl Simulation {
         }
     }
 
+    fn inject(&mut self, node: NodeId, mut packet: Packet) {
+        self.metrics.record_sent();
+        if packet.ingress_time == SimTime::ZERO {
+            packet.ingress_time = self.now;
+        }
+        self.arrive(node, packet);
+    }
+
     fn arrive(&mut self, node_id: NodeId, mut pkt: Packet) {
         let now = self.now;
-        // Hop limit guard.
-        let hops = pkt.metadata.get("hops").copied().unwrap_or(0);
-        if hops >= HOP_LIMIT {
-            self.metrics.record_lost(LossKind::HopLimit, now);
-            return;
+        // Hop limit guard; the counter's key is allocated on the first hop only.
+        match pkt.metadata.get_mut("hops") {
+            Some(hops) if *hops >= HOP_LIMIT => {
+                self.metrics.record_lost(LossKind::HopLimit, now);
+                return;
+            }
+            Some(hops) => *hops += 1,
+            None => {
+                pkt.metadata.insert("hops".into(), 1);
+            }
         }
-        pkt.metadata.insert("hops".into(), hops + 1);
 
         let Some(node) = self.topo.node_mut(node_id) else {
             self.metrics.record_lost(LossKind::NoRoute, now);
@@ -481,14 +541,13 @@ impl Simulation {
         }
         node.busy_until = start + service;
 
-        let result = match node.device.process(&mut pkt, now) {
-            Ok(r) => r,
-            Err(e) => {
-                self.errors.push((now, format!("process at {node_id}: {e}")));
-                self.metrics.record_lost(LossKind::PolicyDrop, now);
-                return;
-            }
-        };
+        let burst = std::slice::from_mut(&mut pkt);
+        if let Err(e) = node.device.process_burst(burst, now, &mut self.results) {
+            self.errors.push((now, format!("process at {node_id}: {e}")));
+            self.metrics.record_lost(LossKind::PolicyDrop, now);
+            return;
+        }
+        let result = self.results.pop().expect("a burst of one has one result");
         let node_kind = node.kind;
         for (svc, args) in node.device.take_invocations() {
             self.invocation_log.push((now, node_id, svc, args));
@@ -931,6 +990,120 @@ mod tests {
             sim.errors
         );
         assert_eq!(sim.metrics.delivered, 10, "the final incarnation forwards");
+    }
+
+    /// One scenario fed through [`Simulation::load`] or, with `via_load`
+    /// false, with every departure sent through [`Simulation::schedule`].
+    fn stream_merge_scenario(via_load: bool) -> Simulation {
+        let send = |sim: &mut Simulation, departures: Vec<Departure>| {
+            if via_load {
+                sim.load(departures);
+            } else {
+                for d in departures {
+                    sim.schedule(
+                        d.at,
+                        Command::Inject {
+                            node: d.node,
+                            packet: d.packet,
+                        },
+                    );
+                }
+            }
+        };
+        let (topo, sw, hosts) = Topology::single_switch(3);
+        let mut sim = Simulation::new(topo);
+        sim.schedule(
+            SimTime::ZERO,
+            Command::Install {
+                node: sw,
+                bundle: forwarding(),
+            },
+        );
+        // Two flows on one clock tie at every instant; reversed, the
+        // vector is out of order, ties included.
+        let flows = [0, 1].map(|i| {
+            FlowSpec::udp_cbr(
+                hosts[i],
+                hosts[2],
+                100_000,
+                SimTime::from_micros(100),
+                SimDuration::from_millis(1),
+            )
+        });
+        let mut first = generate(&flows, 1);
+        first.reverse();
+        let at = |us: u64| SimTime::from_micros(us);
+        // Scheduled before the load, so they run before the departures
+        // at their instants: hosts[1] is down when its packet at 300 us
+        // leaves, and the switch starts a reconfig as a packet is sent.
+        sim.schedule(at(300), Command::CrashDevice { node: hosts[1] });
+        sim.schedule(at(340), Command::RestartDevice { node: hosts[1] });
+        sim.schedule(
+            at(400),
+            Command::RuntimeReconfig {
+                node: sw,
+                bundle: bundle(
+                    "program fwd kind any {
+                       counter seen;
+                       handler ingress(pkt) { count(seen); forward(0); }
+                     }",
+                ),
+            },
+        );
+        send(&mut sim, first);
+        // Scheduled after the load, so they run after the departures at
+        // their instants: hosts[0]'s packet at 500 us still leaves.
+        sim.schedule(at(500), Command::CrashDevice { node: hosts[0] });
+        sim.schedule(at(520), Command::RestartDevice { node: hosts[0] });
+        sim.schedule(
+            at(900),
+            Command::Install {
+                node: sw,
+                bundle: bundle("program p kind any { handler ingress(pkt) { punt(); } }"),
+            },
+        );
+        sim.run(at(600));
+        // A second load interleaves with departures still waiting, and
+        // ties with them at every instant.
+        let mut second = generate(
+            &[FlowSpec::udp_cbr(
+                hosts[1],
+                hosts[2],
+                100_000,
+                at(700),
+                SimDuration::from_millis(1),
+            )],
+            2,
+        );
+        for d in &mut second {
+            d.packet.id += 1_000_000;
+        }
+        second.swap(0, 5);
+        send(&mut sim, second);
+        sim.run_to_completion();
+        sim
+    }
+
+    #[test]
+    fn departure_stream_orders_events_exactly_as_scheduled_injects() {
+        let streamed = stream_merge_scenario(true);
+        let scheduled = stream_merge_scenario(false);
+        let (a, b) = (&streamed.metrics, &scheduled.metrics);
+        assert_eq!(a.sent, 300);
+        assert!(a.losses.get(&LossKind::DeviceDown).is_some_and(|&n| n > 0));
+        assert!(a.punted > 0 && a.delivered > 0, "{a:?}");
+        assert_eq!(
+            (a.sent, a.delivered, a.punted),
+            (b.sent, b.delivered, b.punted)
+        );
+        assert_eq!(a.losses, b.losses);
+        for p in [50.0, 99.0] {
+            assert_eq!(a.latency_percentile(p), b.latency_percentile(p));
+        }
+        assert_eq!(a.version_counts, b.version_counts);
+        assert_eq!(&streamed.punt_log[..], &scheduled.punt_log[..]);
+        assert_eq!(&streamed.errors[..], &scheduled.errors[..]);
+        assert_eq!(streamed.reconfig_reports.len(), 1);
     }
 
     #[test]

@@ -175,6 +175,11 @@ impl Topology {
         self.nodes.values()
     }
 
+    /// Iterates over nodes mutably, in id order.
+    pub fn nodes_mut(&mut self) -> impl Iterator<Item = &mut Node> {
+        self.nodes.values_mut()
+    }
+
     /// Iterates over node ids (avoids borrowing issues in the engine).
     pub fn node_ids(&self) -> Vec<NodeId> {
         self.nodes.keys().copied().collect()
