@@ -559,6 +559,10 @@ pub struct Device {
     /// stack/local/key buffers shared by every packet of every burst, so
     /// steady-state burst processing performs no heap allocations.
     burst_vm: bytecode::VmScratch,
+    /// Reusable result buffer for the entry points that run admitted
+    /// packets through [`Device::process_burst`] on the caller's behalf
+    /// ([`Device::process_bytes`], [`Device::process_sealed_burst`]).
+    burst_results: Vec<ProcessResult>,
     /// Run-scoped `can_parse` memo for [`Device::process_burst`]'s header
     /// stripping; reset at each burst (the parser may change in between).
     proto_cache: crate::parser::ProtoCache,
@@ -593,6 +597,7 @@ impl Device {
             window_traps: 0,
             last_trap: None,
             burst_vm: bytecode::VmScratch::new(),
+            burst_results: Vec::new(),
             proto_cache: crate::parser::ProtoCache::default(),
         }
     }
@@ -1459,7 +1464,8 @@ impl Device {
         Ok(())
     }
 
-    /// Parses raw wire bytes into a packet and processes it.
+    /// Parses raw wire bytes into a packet and processes it as a burst of
+    /// one through [`Device::process_burst`].
     ///
     /// The poison-packet entry point: bytes that fail wire parsing
     /// produce a typed [`Trap::MalformedPacket`] and a fail-closed drop
@@ -1468,7 +1474,11 @@ impl Device {
     pub fn process_bytes(&mut self, bytes: &[u8], id: u64, now: SimTime) -> Result<ProcessResult> {
         self.ensure_up()?;
         match crate::wire::parse_wire(bytes, id) {
-            Ok(mut pkt) => self.process(&mut pkt, now),
+            Ok(mut pkt) => {
+                let mut result = None;
+                self.run_admitted(std::slice::from_mut(&mut pkt), now, |r| result = Some(r))?;
+                Ok(result.expect("process_burst yields one result per packet"))
+            }
             Err(FlexError::Trap(t)) => {
                 self.stats.parse_traps += 1;
                 self.stats.dropped += 1;
@@ -1517,6 +1527,13 @@ impl Device {
     /// `out`; packets that survive admission are left, post-processing,
     /// in `pkts` (in outcome order, `Processed` entries only).
     ///
+    /// `pkts` is recycled, not cleared: each admitted frame is parsed in
+    /// place ([`crate::wire::parse_wire_into`]) over the packet already in
+    /// the next slot — typically the previous burst's — so steady-state
+    /// admission reuses every header map and trace buffer. Whatever `pkts`
+    /// held before is overwritten; on return it holds exactly the
+    /// admitted packets (on `Err`, exactly those already processed).
+    ///
     /// Billing is per-offender, exactly as the single-frame entry points
     /// bill: a corrupted frame counts one `checksum_drops` and nothing
     /// else; a malformed body counts one `parse_traps` + one `dropped`
@@ -1534,18 +1551,37 @@ impl Device {
         out: &mut Vec<FrameOutcome>,
     ) -> Result<()> {
         out.clear();
-        pkts.clear();
+        let mut flushed = 0;
+        let admitted = self.admit_sealed_burst(frames, first_id, now, pkts, out, &mut flushed);
+        pkts.truncate(flushed);
+        admitted
+    }
+
+    /// The admission loop of [`Device::process_sealed_burst`]: parses
+    /// admitted frames into `pkts` slot by slot and flushes each run of
+    /// them through the program at the next poison frame. `pkts[..flushed]`
+    /// are the packets processed so far.
+    fn admit_sealed_burst(
+        &mut self,
+        frames: &[Vec<u8>],
+        first_id: u64,
+        now: SimTime,
+        pkts: &mut Vec<Packet>,
+        out: &mut Vec<FrameOutcome>,
+        flushed: &mut usize,
+    ) -> Result<()> {
         self.ensure_up()?;
-        let mut run: Vec<Packet> = Vec::new();
-        let mut results: Vec<ProcessResult> = Vec::new();
+        // Slots `pkts[..parsed]` hold this burst's admitted packets.
+        let mut parsed = 0usize;
+        // A poison frame ends the run of admitted packets before it; an
+        // empty run is no call, so it cannot commit a pending
+        // reconfiguration early.
         macro_rules! flush {
             () => {
-                if !run.is_empty() {
-                    self.process_burst(&mut run, now, &mut results)?;
-                    for (pkt, r) in run.drain(..).zip(results.drain(..)) {
-                        pkts.push(pkt);
-                        out.push(FrameOutcome::Processed(r));
-                    }
+                if *flushed < parsed {
+                    let run = &mut pkts[*flushed..parsed];
+                    self.run_admitted(run, now, |r| out.push(FrameOutcome::Processed(r)))?;
+                    *flushed = parsed;
                 }
             };
         }
@@ -1556,27 +1592,51 @@ impl Device {
                     self.stats.checksum_drops += 1;
                     out.push(FrameOutcome::ChecksumDrop);
                 }
-                Ok(body) => match crate::wire::parse_wire(body, first_id + k as u64) {
-                    Ok(pkt) => run.push(pkt),
-                    Err(FlexError::Trap(t)) => {
-                        flush!();
-                        self.stats.parse_traps += 1;
-                        self.stats.dropped += 1;
-                        out.push(FrameOutcome::ParseDrop(ProcessResult {
-                            verdict: Verdict::Drop,
-                            latency: self.cost.base_latency,
-                            version: self.version,
-                            ops: 0,
-                            refused: false,
-                            trap: Some(t),
-                        }));
+                Ok(body) => {
+                    if parsed == pkts.len() {
+                        pkts.push(Packet::new(0, Vec::new(), 0));
                     }
-                    Err(e) => return Err(e),
-                },
+                    let id = first_id + k as u64;
+                    match crate::wire::parse_wire_into(body, id, &mut pkts[parsed]) {
+                        Ok(()) => parsed += 1,
+                        Err(FlexError::Trap(t)) => {
+                            flush!();
+                            self.stats.parse_traps += 1;
+                            self.stats.dropped += 1;
+                            out.push(FrameOutcome::ParseDrop(ProcessResult {
+                                verdict: Verdict::Drop,
+                                latency: self.cost.base_latency,
+                                version: self.version,
+                                ops: 0,
+                                refused: false,
+                                trap: Some(t),
+                            }));
+                        }
+                        Err(e) => return Err(e),
+                    }
+                }
             }
         }
         flush!();
         Ok(())
+    }
+
+    /// Runs admitted packets through [`Device::process_burst`] on the
+    /// device's result scratch and hands each result, in order, to
+    /// `each`. On `Err` no result is handed on.
+    fn run_admitted(
+        &mut self,
+        run: &mut [Packet],
+        now: SimTime,
+        each: impl FnMut(ProcessResult),
+    ) -> Result<()> {
+        let mut results = std::mem::take(&mut self.burst_results);
+        let done = self.process_burst(run, now, &mut results);
+        if done.is_ok() {
+            results.drain(..).for_each(each);
+        }
+        self.burst_results = results;
+        done
     }
 
     /// Read access to a table of the active program (used by the egress

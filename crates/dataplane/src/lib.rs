@@ -55,4 +55,6 @@ pub use reconfig::{ReconfigMode, ReconfigOutcome, ReconfigReport, TxnTag};
 pub use sched::EgressScheduler;
 pub use state::{DeviceState, LogicalState, StateEncoding};
 pub use table::{KeyMatch, TableEntry, TableInstance, TableSet, BURST_MISS};
-pub use wire::{encode_wire, flip_bits, frame_checksum, open_frame, parse_wire, seal_frame};
+pub use wire::{
+    encode_wire, flip_bits, frame_checksum, open_frame, parse_wire, parse_wire_into, seal_frame,
+};

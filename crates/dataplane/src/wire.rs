@@ -10,11 +10,19 @@
 //! program, so the device counts parse traps separately and they never
 //! feed program quarantine.
 //!
+//! There is one parser, [`parse_wire_into`], which writes into a packet
+//! the caller already owns, the way an RMT parser fills a packet header
+//! vector that already exists. Header slots of the right shape keep
+//! their maps and only take new values, so sealed-burst admission
+//! (`Device::process_sealed_burst`) recycles the previous burst's packets
+//! instead of allocating fresh ones. [`parse_wire`] is the same parser
+//! run into a new packet; the two agree on every input.
+//!
 //! [`encode_wire`] is the inverse for the protocols the codec speaks;
 //! round-tripping is pinned by tests and exploited by the fuzz harness
 //! (valid frames must parse; arbitrary bytes must parse-or-trap).
 
-use flexnet_types::{FlexError, Header, Packet, Result, Trap};
+use flexnet_types::{FlexError, Header, Packet, Result, SimTime, Trap};
 
 /// Maximum 802.1Q tags the parser will walk before declaring the frame
 /// malformed (real pipelines bound VLAN stacking the same way).
@@ -144,38 +152,66 @@ fn be48(b: &[u8], off: usize) -> u64 {
 /// the frame becomes payload, exactly like a real pipeline punting an
 /// unparsed protocol past its last known header.
 pub fn parse_wire(bytes: &[u8], id: u64) -> Result<Packet> {
-    let mut headers: Vec<Header> = Vec::with_capacity(4);
-    let mut off = 0usize;
+    let mut pkt = Packet::new(id, Vec::new(), 0);
+    parse_wire_into(bytes, id, &mut pkt)?;
+    Ok(pkt)
+}
 
+/// Parses one Ethernet frame into a packet the caller already owns.
+///
+/// This is [`parse_wire`]'s only parser: for any bytes and any prior
+/// contents of `pkt`, it returns the same `Ok`/`Err(Trap)` as
+/// `parse_wire(bytes, id)`, and on `Ok` leaves `pkt` equal to that fresh
+/// parse. Every field is overwritten — metadata and trace are cleared,
+/// `ingress_time` reset — but the allocations behind them are kept: a
+/// header slot that already holds the same protocol with the same field
+/// names has its values updated in place, any other slot is rebuilt, and
+/// slots past the parsed stack are truncated away. On `Err` the packet's
+/// contents are unspecified.
+pub fn parse_wire_into(bytes: &[u8], id: u64, pkt: &mut Packet) -> Result<()> {
     if bytes.len() < 14 {
         return Err(trap(format!("ethernet frame truncated (len {})", bytes.len())));
     }
     let dst = be48(bytes, 0);
     let src = be48(bytes, 6);
     let mut ethertype = be16(bytes, 12);
-    off += 14;
+    let mut off = 14usize;
 
     // 802.1Q tags, bounded.
+    let mut tcis = [0u64; MAX_VLAN_DEPTH];
     let mut vlans = 0usize;
     while ethertype == 0x8100 {
-        vlans += 1;
-        if vlans > MAX_VLAN_DEPTH {
+        if vlans == MAX_VLAN_DEPTH {
             return Err(trap(format!("vlan stack deeper than {MAX_VLAN_DEPTH}")));
         }
         if bytes.len() < off + 4 {
             return Err(trap("vlan tag truncated"));
         }
-        let tci = be16(bytes, off);
-        let mut h = Header::vlan(tci & 0x0fff);
-        h.set("pcp", tci >> 13);
-        headers.push(h);
+        tcis[vlans] = be16(bytes, off);
+        vlans += 1;
         ethertype = be16(bytes, off + 2);
         off += 4;
     }
     // The eth header goes outermost-first; vlan tags sit after it.
-    headers.insert(0, Header::ethernet(src, dst, ethertype));
+    let headers = &mut pkt.headers;
+    fill_header(
+        headers,
+        0,
+        "eth",
+        [("src", src), ("dst", dst), ("ethertype", ethertype)],
+    );
+    for (i, tci) in tcis[..vlans].iter().enumerate() {
+        fill_header(
+            headers,
+            1 + i,
+            "vlan",
+            [("vid", tci & 0x0fff), ("pcp", tci >> 13)],
+        );
+    }
+    let mut used = 1 + vlans;
 
-    let mut payload_start = off;
+    // Non-IP frame: everything after the L2 headers is payload.
+    let (mut payload_start, mut payload_end) = (off, bytes.len());
     if ethertype == 0x0800 {
         if bytes.len() < off + 20 {
             return Err(trap(format!(
@@ -210,19 +246,27 @@ pub fn parse_wire(bytes: &[u8], id: u64) -> Result<Packet> {
             )));
         }
         let tos = bytes[off + 1] as u64;
-        let ttl = bytes[off + 8] as u64;
         let proto = bytes[off + 9];
-        let ip_src = be32(bytes, off + 12);
-        let ip_dst = be32(bytes, off + 16);
-        let mut h = Header::ipv4(ip_src as u32, ip_dst as u32, proto);
-        h.set("ttl", ttl);
-        h.set("dscp", tos >> 2);
-        h.set("ecn", tos & 0x3);
-        headers.push(h);
-        let l4_off = off + hdr_len;
+        fill_header(
+            headers,
+            used,
+            "ipv4",
+            [
+                ("src", be32(bytes, off + 12)),
+                ("dst", be32(bytes, off + 16)),
+                ("proto", proto as u64),
+                ("ttl", bytes[off + 8] as u64),
+                ("ecn", tos & 0x3),
+                ("dscp", tos >> 2),
+            ],
+        );
+        used += 1;
         let l4_end = off + total_len;
-        off = l4_off;
+        off += hdr_len;
         payload_start = off;
+        // Payload length comes from the IP total length, not the frame
+        // (frames may carry padding past the datagram).
+        payload_end = l4_end;
 
         match proto {
             6 => {
@@ -242,15 +286,20 @@ pub fn parse_wire(bytes: &[u8], id: u64) -> Result<Packet> {
                         data_off * 4
                     )));
                 }
-                let mut h = Header::tcp(
-                    be16(bytes, off) as u16,
-                    be16(bytes, off + 2) as u16,
-                    bytes[off + 13],
+                fill_header(
+                    headers,
+                    used,
+                    "tcp",
+                    [
+                        ("sport", be16(bytes, off)),
+                        ("dport", be16(bytes, off + 2)),
+                        ("flags", bytes[off + 13] as u64),
+                        ("seq", be32(bytes, off + 4)),
+                        ("ack", be32(bytes, off + 8)),
+                        ("window", be16(bytes, off + 14)),
+                    ],
                 );
-                h.set("seq", be32(bytes, off + 4));
-                h.set("ack", be32(bytes, off + 8));
-                h.set("window", be16(bytes, off + 14));
-                headers.push(h);
+                used += 1;
                 payload_start = off + data_off * 4;
             }
             17 => {
@@ -270,28 +319,60 @@ pub fn parse_wire(bytes: &[u8], id: u64) -> Result<Packet> {
                         l4_end - off
                     )));
                 }
-                headers.push(Header::udp(
-                    be16(bytes, off) as u16,
-                    be16(bytes, off + 2) as u16,
-                ));
+                fill_header(
+                    headers,
+                    used,
+                    "udp",
+                    [("sport", be16(bytes, off)), ("dport", be16(bytes, off + 2))],
+                );
+                used += 1;
                 payload_start = off + 8;
             }
             // Unknown L4: the rest of the IP datagram is payload.
             _ => {}
         }
-        // Payload length comes from the IP total length, not the frame
-        // (frames may carry padding past the datagram).
-        let payload_len = l4_end.saturating_sub(payload_start) as u32;
-        let mut pkt = Packet::new(id, headers, payload_len);
-        pkt.payload = bytes[payload_start..l4_end].to_vec().into();
-        return Ok(pkt);
     }
 
-    // Non-IP frame: everything after the L2 headers is payload.
-    let payload_len = (bytes.len() - payload_start) as u32;
-    let mut pkt = Packet::new(id, headers, payload_len);
-    pkt.payload = bytes[payload_start..].to_vec().into();
-    Ok(pkt)
+    headers.truncate(used);
+    pkt.id = id;
+    pkt.payload_len = (payload_end - payload_start) as u32;
+    pkt.payload = bytes[payload_start..payload_end].into();
+    pkt.metadata.clear();
+    pkt.ingress_time = SimTime::ZERO;
+    pkt.trace.clear();
+    Ok(())
+}
+
+/// Writes header `at` of a stack being parsed in place: `proto` with
+/// exactly the fields `fields`.
+///
+/// When the slot already holds `proto` with the same field names, only
+/// the values are written — no key `String` is allocated. Any other slot
+/// is rebuilt, and a slot one past the end is pushed.
+fn fill_header<const N: usize>(
+    headers: &mut Vec<Header>,
+    at: usize,
+    proto: &str,
+    fields: [(&'static str, u64); N],
+) {
+    let Some(h) = headers.get_mut(at) else {
+        headers.push(Header::new(proto, fields));
+        return;
+    };
+    // `fields` names are distinct, so N hits in a map of N keys means the
+    // key sets are equal.
+    let same_shape = h.proto == proto
+        && h.fields.len() == N
+        && fields.iter().all(|&(k, v)| match h.fields.get_mut(k) {
+            Some(slot) => {
+                *slot = v;
+                true
+            }
+            None => false,
+        });
+    if !same_shape {
+        *h = Header::new(proto, fields);
+    }
 }
 
 fn push16(out: &mut Vec<u8>, v: u64) {
@@ -443,87 +524,194 @@ mod tests {
         assert_eq!(pkt.payload_len, 28);
     }
 
-    #[test]
-    fn truncations_trap_with_named_reasons() {
-        assert!(parse_trap(&[]).contains("ethernet frame truncated"));
-        assert!(parse_trap(&[0u8; 13]).contains("ethernet frame truncated"));
-
-        // Valid eth announcing IPv4, then nothing.
-        let mut b = vec![0u8; 14];
-        b[12] = 0x08;
-        b[13] = 0x00;
-        assert!(parse_trap(&b).contains("ipv4 header truncated"));
-
-        // Valid eth announcing a VLAN tag, then nothing.
-        let mut b = vec![0u8; 14];
-        b[12] = 0x81;
-        b[13] = 0x00;
-        assert!(parse_trap(&b).contains("vlan tag truncated"));
+    /// Frames cut short, each with the reason its trap must name.
+    fn truncated_frames() -> Vec<(&'static str, Vec<u8>)> {
+        // Valid eth announcing IPv4 / a VLAN tag, then nothing.
+        let mut ipv4 = vec![0u8; 14];
+        ipv4[12] = 0x08;
+        let mut vlan = vec![0u8; 14];
+        vlan[12] = 0x81;
+        vec![
+            ("ethernet frame truncated", vec![]),
+            ("ethernet frame truncated", vec![0u8; 13]),
+            ("ipv4 header truncated", ipv4),
+            ("vlan tag truncated", vlan),
+        ]
     }
 
-    #[test]
-    fn impossible_length_fields_trap() {
+    /// IPv4/TCP frames whose length or version fields lie.
+    fn ipv4_lie_frames() -> Vec<(&'static str, Vec<u8>)> {
         let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
         pkt.payload = vec![].into();
         pkt.payload_len = 0;
         let good = encode_wire(&pkt);
-
-        // Version 6 in an ipv4 slot.
-        let mut b = good.clone();
-        b[14] = 0x65;
-        assert!(parse_trap(&b).contains("version 6"));
-
-        // IHL below minimum.
-        let mut b = good.clone();
-        b[14] = 0x44;
-        assert!(parse_trap(&b).contains("ihl 4"));
-
-        // Total length larger than the frame.
-        let mut b = good.clone();
-        b[16] = 0xff;
-        b[17] = 0xff;
-        assert!(parse_trap(&b).contains("exceeds frame"));
-
-        // Total length smaller than the IP header itself.
-        let mut b = good.clone();
-        b[16] = 0;
-        b[17] = 10;
-        assert!(parse_trap(&b).contains("below header length"));
-
-        // TCP data offset below minimum.
-        let mut b = good.clone();
-        b[34 + 12] = 0x40;
-        assert!(parse_trap(&b).contains("data offset 4"));
+        let lie = |at: &[(usize, u8)]| {
+            let mut b = good.clone();
+            for &(i, v) in at {
+                b[i] = v;
+            }
+            b
+        };
+        vec![
+            // Version 6 in an ipv4 slot.
+            ("version 6", lie(&[(14, 0x65)])),
+            // IHL below minimum.
+            ("ihl 4", lie(&[(14, 0x44)])),
+            // Total length larger than the frame.
+            ("exceeds frame", lie(&[(16, 0xff), (17, 0xff)])),
+            // Total length smaller than the IP header itself.
+            ("below header length", lie(&[(16, 0), (17, 10)])),
+            // TCP data offset below minimum.
+            ("data offset 4", lie(&[(34 + 12, 0x40)])),
+        ]
     }
 
-    #[test]
-    fn udp_length_lies_trap() {
+    /// UDP frames whose length field lies.
+    fn udp_lie_frames() -> Vec<(&'static str, Vec<u8>)> {
         let mut pkt = Packet::udp(1, 1, 2, 3, 4);
         pkt.payload = vec![0; 4].into();
         pkt.payload_len = 4;
         let good = encode_wire(&pkt);
-
-        // UDP length below 8.
-        let mut b = good.clone();
-        b[34 + 4] = 0;
-        b[34 + 5] = 3;
-        assert!(parse_trap(&b).contains("below minimum 8"));
-
-        // UDP length beyond the IP datagram.
-        let mut b = good.clone();
-        b[34 + 4] = 0xff;
-        b[34 + 5] = 0xff;
-        assert!(parse_trap(&b).contains("exceeds ipv4 payload"));
+        let lie = |hi: u8, lo: u8| {
+            let mut b = good.clone();
+            b[34 + 4] = hi;
+            b[34 + 5] = lo;
+            b
+        };
+        vec![
+            // UDP length below 8.
+            ("below minimum 8", lie(0, 3)),
+            // UDP length beyond the IP datagram.
+            ("exceeds ipv4 payload", lie(0xff, 0xff)),
+        ]
     }
 
-    #[test]
-    fn vlan_stack_is_bounded() {
+    /// One VLAN tag more than the parser walks.
+    fn deep_vlan_frame() -> Vec<u8> {
         let mut b = vec![0u8; 12];
         b.extend_from_slice(&[0x81, 0x00]);
         for _ in 0..(MAX_VLAN_DEPTH + 1) {
             b.extend_from_slice(&[0x00, 0x01, 0x81, 0x00]);
         }
-        assert!(parse_trap(&b).contains("vlan stack deeper"));
+        b
+    }
+
+    #[test]
+    fn truncations_trap_with_named_reasons() {
+        for (why, b) in truncated_frames() {
+            assert!(parse_trap(&b).contains(why), "{why}");
+        }
+    }
+
+    #[test]
+    fn impossible_length_fields_trap() {
+        for (why, b) in ipv4_lie_frames() {
+            assert!(parse_trap(&b).contains(why), "{why}");
+        }
+    }
+
+    #[test]
+    fn udp_length_lies_trap() {
+        for (why, b) in udp_lie_frames() {
+            assert!(parse_trap(&b).contains(why), "{why}");
+        }
+    }
+
+    #[test]
+    fn vlan_stack_is_bounded() {
+        assert!(parse_trap(&deep_vlan_frame()).contains("vlan stack deeper"));
+    }
+
+    /// Valid and malformed frames of every shape the codec speaks.
+    fn frame_corpus() -> Vec<Vec<u8>> {
+        let mut tcp = Packet::tcp(3, 0x0a000001, 0x0a000002, 1234, 80, 0x12);
+        tcp.header_mut("tcp").unwrap().set("seq", 77);
+        tcp.payload = vec![0xde, 0xad, 0xbe, 0xef].into();
+        tcp.payload_len = 4;
+        let mut udp = Packet::udp(4, 10, 20, 53, 5353);
+        udp.payload = vec![1, 2, 3].into();
+        udp.payload_len = 3;
+        let mut frames = vec![encode_wire(&tcp), encode_wire(&udp)];
+        // 1..=MAX_VLAN_DEPTH tags, on TCP and UDP alternately.
+        for depth in 1..=MAX_VLAN_DEPTH {
+            let mut p = if depth % 2 == 1 {
+                tcp.clone()
+            } else {
+                udp.clone()
+            };
+            for d in 0..depth {
+                let mut tag = Header::vlan(100 + d as u64);
+                tag.set("pcp", d as u64);
+                p.insert_header(tag, Some("eth"));
+            }
+            frames.push(encode_wire(&p));
+        }
+        // Non-IP (ARP) and an unknown L4 protocol (GRE).
+        let mut arp = vec![0u8; 14];
+        arp[12] = 0x08;
+        arp[13] = 0x06;
+        arp.extend_from_slice(&[0xaa; 28]);
+        frames.push(arp);
+        let gre_headers = vec![Header::ethernet(1, 2, 0x0800), Header::ipv4(7, 8, 47)];
+        let mut gre = Packet::new(5, gre_headers, 2);
+        gre.payload = vec![9, 9].into();
+        frames.push(encode_wire(&gre));
+        // Every trap the tests above pin, and the 5-byte junk frame.
+        let lies = truncated_frames()
+            .into_iter()
+            .chain(ipv4_lie_frames())
+            .chain(udp_lie_frames());
+        frames.extend(lies.map(|(_, b)| b));
+        frames.push(deep_vlan_frame());
+        frames.push(vec![0xff; 5]);
+        frames
+    }
+
+    /// Packets left dirty the ways a recycled burst slot can be.
+    fn dirty_packets() -> Vec<Packet> {
+        // Program-mutated TCP: an added field, metadata, a trace entry.
+        let mut mutated = Packet::tcp(90, 5, 6, 7, 8, 0x02);
+        mutated.header_mut("tcp").unwrap().set("mark", 1);
+        mutated.metadata.insert("tenant".into(), 3);
+        mutated
+            .trace
+            .push((flexnet_types::NodeId(4), flexnet_types::ProgramVersion(2)));
+        mutated.ingress_time = SimTime::from_millis(9);
+        mutated.payload = vec![1; 16].into();
+        mutated.payload_len = 16;
+        // TCP that lost its `tcp` header.
+        let mut no_tcp = Packet::tcp(91, 5, 6, 7, 8, 0);
+        no_tcp.remove_header("tcp");
+        // UDP with an extra tenant header.
+        let mut tenant = Packet::udp(92, 5, 6, 7, 8);
+        tenant.headers.push(Header::new("tenant", [("id", 42)]));
+        vec![mutated, no_tcp, tenant, Packet::new(0, Vec::new(), 0)]
+    }
+
+    fn reason(e: &FlexError) -> &str {
+        match e {
+            FlexError::Trap(Trap::MalformedPacket { reason }) => reason,
+            other => panic!("expected malformed-packet trap, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn in_place_parse_equals_fresh_parse() {
+        for (f, bytes) in frame_corpus().iter().enumerate() {
+            let fresh = parse_wire(bytes, 11);
+            for (d, dirty) in dirty_packets().into_iter().enumerate() {
+                let mut slot = dirty;
+                let in_place = parse_wire_into(bytes, 11, &mut slot);
+                match (&fresh, &in_place) {
+                    (Ok(want), Ok(())) => assert_eq!(&slot, want, "frame {f}, dirty {d}"),
+                    (Err(a), Err(b)) => {
+                        assert_eq!(a, b, "frame {f}, dirty {d}");
+                        assert_eq!(reason(a), reason(b), "frame {f}, dirty {d}");
+                    }
+                    _ => panic!("frame {f}, dirty {d}: fresh {fresh:?} vs in place {in_place:?}"),
+                }
+            }
+        }
     }
 
     #[test]

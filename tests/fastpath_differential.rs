@@ -572,3 +572,138 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Sealed-burst differential: `Device::process_sealed_burst`, parsing in
+// place over one `pkts` Vec recycled across every burst, must be
+// observationally identical to feeding the same frames one at a time
+// through `Device::process_sealed_bytes` — same per-frame outcomes, same
+// stats — and must leave every admitted packet exactly as a fresh parse
+// plus `Device::process` leaves it, trace and metadata included.
+// ---------------------------------------------------------------------------
+
+/// A sealed frame stream: TCP and UDP frames, some VLAN-tagged, some with
+/// payload, with checksum and parse poison at the first frame, the last
+/// frame, and at, inside and at the end of 3- and 64-frame bursts.
+fn sealed_stream() -> Vec<Vec<u8>> {
+    use flexnet_dataplane::{encode_wire, flip_bits, seal_frame};
+    let mut rng = Rng(0x5ea1ed);
+    let mut frames: Vec<Vec<u8>> = packet_stream(0x5ea1, 200)
+        .into_iter()
+        .enumerate()
+        .map(|(i, tcp)| {
+            let mut p = if i % 5 == 2 {
+                Packet::udp(i as u64, (rng.next() % 32) as u32, 9, 5, 53)
+            } else {
+                tcp
+            };
+            if i % 7 == 3 {
+                p.insert_header(flexnet_types::Header::vlan(rng.next() % 4096), Some("eth"));
+            }
+            p.payload = vec![i as u8; (rng.next() % 24) as usize].into();
+            seal_frame(&encode_wire(&p))
+        })
+        .collect();
+    let last = frames.len() - 1;
+    for k in [0, 32, 63, 130, last] {
+        flip_bits(&mut frames[k], 0xc0ffee ^ k as u64, 2);
+    }
+    // Validly sealed bodies the parser rejects: junk, and a TCP frame
+    // whose IPv4 total length overruns the frame.
+    let mut overrun = encode_wire(&Packet::tcp(0, 1, 2, 3, 4, 0));
+    overrun[16] = 0xff;
+    for k in [1, 33, 64, 100, last - 1] {
+        let body: &[u8] = if k % 2 == 0 { &[0xff; 5] } else { &overrun };
+        frames[k] = seal_frame(body);
+    }
+    frames
+}
+
+/// Depending on the source address, writes metadata, removes the `tcp`
+/// header or pushes a VLAN tag — so the slots the next burst recycles are
+/// dirty in every way a program can make them, and stale dirt shows.
+const RECYCLING_PROGRAM: &str = "program recycler kind any {
+   counter seen;
+   handler ingress(pkt) {
+     count(seen);
+     if (ipv4.src % 2 == 0) { meta.mark = hash(ipv4.src, pktlen()); }
+     if (ipv4.src % 3 == 1) { remove_header(tcp); }
+     if (ipv4.src % 3 == 2 && !valid(vlan)) {
+       add_header(vlan);
+       vlan.vid = ipv4.dst % 4096;
+     }
+     forward(1);
+   }
+ }";
+
+#[test]
+fn sealed_burst_matches_sealed_single_across_recycled_bursts() {
+    use flexnet_dataplane::device::FrameOutcome;
+    use flexnet_dataplane::{open_frame, parse_wire};
+    let bundle = bundle_of(RECYCLING_PROGRAM);
+    let frames = sealed_stream();
+    // One Vec for every burst of every run: slots always start dirty.
+    let mut pkts: Vec<Packet> = Vec::new();
+    let mut out = Vec::new();
+    for mode in [ExecMode::Interpreter, ExecMode::Bytecode] {
+        for burst in [1usize, 3, 64] {
+            let mut bursty = dev(mode, bundle.program.kind);
+            let mut single = dev(mode, bundle.program.kind);
+            let mut fresh = dev(mode, bundle.program.kind);
+            for d in [&mut bursty, &mut single, &mut fresh] {
+                d.install(bundle.clone()).expect("installs");
+            }
+            for (ci, chunk) in frames.chunks(burst).enumerate() {
+                let now = SimTime::from_millis(ci as u64 * 3);
+                let first_id = (ci * burst) as u64;
+                bursty
+                    .process_sealed_burst(chunk, first_id, now, &mut pkts, &mut out)
+                    .expect("sealed burst");
+                assert_eq!(out.len(), chunk.len(), "{mode:?} burst {burst}, chunk {ci}");
+                let mut admitted = pkts.iter();
+                for (j, (frame, got)) in chunk.iter().zip(&out).enumerate() {
+                    let at = format!("{mode:?} burst {burst}, chunk {ci}, frame {j}");
+                    let id = first_id + j as u64;
+                    let r = single.process_sealed_bytes(frame, id, now);
+                    // The reference packet: a fresh parse run through the
+                    // single-packet path on a third twin.
+                    let reference = open_frame(frame).map(|body| parse_wire(body, id));
+                    match (got, r, reference) {
+                        (
+                            FrameOutcome::ChecksumDrop,
+                            Err(FlexError::ChecksumMismatch { .. }),
+                            Err(_),
+                        ) => {}
+                        (FrameOutcome::ParseDrop(g), Ok(r), Ok(Err(_))) => {
+                            assert_eq!(*g, r, "{at}")
+                        }
+                        (FrameOutcome::Processed(g), Ok(r), Ok(Ok(mut p))) => {
+                            assert_eq!(*g, r, "{at}: result");
+                            let rf = fresh.process(&mut p, now).expect("processes");
+                            assert_eq!(rf, r, "{at}: single-packet result");
+                            assert_eq!(admitted.next(), Some(&p), "{at}: admitted packet");
+                        }
+                        (got, r, reference) => {
+                            panic!("{at}: burst {got:?} vs single {r:?} (reference {reference:?})")
+                        }
+                    }
+                }
+                assert_eq!(
+                    admitted.next(),
+                    None,
+                    "{mode:?} burst {burst}, chunk {ci}: extra packets"
+                );
+            }
+            assert_eq!(
+                bursty.stats(),
+                single.stats(),
+                "{mode:?} burst {burst}: device stats"
+            );
+            assert_eq!(
+                bursty.snapshot_state(),
+                fresh.snapshot_state(),
+                "{mode:?} burst {burst}: logical state"
+            );
+        }
+    }
+}

@@ -23,9 +23,9 @@
 
 use flexnet::prelude::*;
 use flexnet_dataplane::device::ExecMode;
-use flexnet_dataplane::{encode_wire, parse_wire, SandboxConfig};
+use flexnet_dataplane::{encode_wire, parse_wire, parse_wire_into, SandboxConfig};
 use flexnet_lang::parser::parse_source;
-use flexnet_types::{FlexError, Trap};
+use flexnet_types::{FlexError, Header, Trap};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -53,6 +53,33 @@ proptest! {
             let again = parse_wire(&encoded, 7);
             prop_assert!(again.is_ok(), "re-parse failed: {:?}", again.err());
             prop_assert_eq!(&pkt.headers, &again.unwrap().headers);
+        }
+    }
+
+    /// In-place parsing over a recycled packet is indistinguishable from a
+    /// fresh parse: same `Ok`/`Err`, same trap reason, and on `Ok` the
+    /// slot equals the fresh packet whatever it held before. `steer`
+    /// rewrites the ethertype and IPv4 preamble of longer soups so the
+    /// property also reaches the IPv4/TCP/UDP layers.
+    #[test]
+    fn in_place_parse_matches_fresh_parse(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        steer in 0u8..3,
+        prior in (0u8..4, any::<u32>(), any::<u64>()),
+    ) {
+        let mut bytes = bytes;
+        if steer > 0 && bytes.len() >= 34 {
+            let ip_len = (bytes.len() - 14) as u16;
+            bytes[12..16].copy_from_slice(&[0x08, 0x00, 0x45, 0x00]);
+            bytes[16..18].copy_from_slice(&ip_len.to_be_bytes());
+            bytes[23] = if steer == 1 { 6 } else { 17 };
+        }
+        let mut slot = prior_packet(prior);
+        let in_place = parse_wire_into(&bytes, 5, &mut slot);
+        match (parse_wire(&bytes, 5), in_place) {
+            (Ok(fresh), Ok(())) => prop_assert_eq!(slot, fresh),
+            (Err(a), Err(b)) => prop_assert_eq!(format!("{a:?}"), format!("{b:?}")),
+            (a, b) => prop_assert!(false, "fresh {a:?} vs in place {b:?}"),
         }
     }
 
@@ -120,6 +147,35 @@ proptest! {
         prop_assert_eq!(after.traps, before.traps, "no program trap for wire damage");
         prop_assert!(!d.quarantined(), "wire corruption quarantined the program");
     }
+}
+
+/// A packet left dirty the ways a recycled burst slot can be: program-
+/// mutated TCP, TCP missing its `tcp` header, UDP with an extra tenant
+/// header, or empty.
+fn prior_packet((kind, addr, meta): (u8, u32, u64)) -> Packet {
+    let mut p = match kind {
+        0 => Packet::new(0, Vec::new(), 0),
+        1 => {
+            let mut p = Packet::tcp(meta, addr, !addr, 1, 2, 0x10);
+            p.header_mut("tcp").unwrap().set("mark", meta);
+            p
+        }
+        2 => {
+            let mut p = Packet::tcp(meta, addr, addr, 3, 4, 0);
+            p.remove_header("tcp");
+            p
+        }
+        _ => {
+            let mut p = Packet::udp(meta, addr, 9, 5, 6);
+            p.headers.push(Header::new("tenant", [("id", meta)]));
+            p
+        }
+    };
+    p.metadata.insert("mark".into(), meta);
+    p.trace.push((NodeId(addr), ProgramVersion(meta)));
+    p.ingress_time = SimTime::from_millis(meta % 1000);
+    p.payload = vec![addr as u8; (meta % 32) as usize].into();
+    p
 }
 
 // ---------------------------------------------------------------------
