@@ -130,12 +130,12 @@ mod tests {
     fn ecn_marks_only_above_threshold() {
         let mut d = dev(ecn_marking(50).unwrap(), Architecture::drmt_default());
         let mut deep = Packet::tcp(1, 1, 2, 3, 4, 0);
-        deep.metadata.insert("queue_depth".into(), 80);
+        deep.metadata.insert("queue_depth", 80);
         d.process(&mut deep, SimTime::ZERO).unwrap();
         assert_eq!(deep.get_field("ipv4.ecn"), Some(3));
 
         let mut shallow = Packet::tcp(2, 1, 2, 3, 4, 0);
-        shallow.metadata.insert("queue_depth".into(), 10);
+        shallow.metadata.insert("queue_depth", 10);
         d.process(&mut shallow, SimTime::ZERO).unwrap();
         assert_eq!(shallow.get_field("ipv4.ecn"), Some(0));
         assert_eq!(d.program_mut().unwrap().state.counter_read("marked"), 1);
@@ -173,13 +173,13 @@ mod tests {
     fn hpcc_backs_off_above_target_and_probes_below() {
         let mut d = dev(hpcc_nic().unwrap(), Architecture::smartnic_default());
         let mut hot = Packet::tcp(1, 1, 2, 3, 4, 0);
-        hot.metadata.insert("link_util".into(), 120);
+        hot.metadata.insert("link_util", 120);
         d.process(&mut hot, SimTime::ZERO).unwrap();
         let after_hot = d.program_mut().unwrap().state.reg_read("rate_mbps", 0);
         assert!(after_hot < 1000, "backed off from 1000: {after_hot}");
 
         let mut cold = Packet::tcp(2, 1, 2, 3, 4, 0);
-        cold.metadata.insert("link_util".into(), 10);
+        cold.metadata.insert("link_util", 10);
         d.process(&mut cold, SimTime::ZERO).unwrap();
         let after_cold = d.program_mut().unwrap().state.reg_read("rate_mbps", 0);
         assert_eq!(after_cold, after_hot + 100);
@@ -189,7 +189,7 @@ mod tests {
     fn hpcc_holds_in_band() {
         let mut d = dev(hpcc_nic().unwrap(), Architecture::smartnic_default());
         let mut ok = Packet::tcp(1, 1, 2, 3, 4, 0);
-        ok.metadata.insert("link_util".into(), 90);
+        ok.metadata.insert("link_util", 90);
         d.process(&mut ok, SimTime::ZERO).unwrap();
         assert_eq!(d.program_mut().unwrap().state.reg_read("rate_mbps", 0), 1000);
         assert_eq!(d.program_mut().unwrap().state.counter_read("adjustments"), 0);
@@ -200,13 +200,13 @@ mod tests {
         let mut d = dev(bbr_host().unwrap(), Architecture::host_default());
         for (i, rate) in [100u64, 500, 300, 800, 200].iter().enumerate() {
             let mut p = Packet::tcp(i as u64, 1, 2, 3, 4, 0x10);
-            p.metadata.insert("delivery_rate".into(), *rate);
+            p.metadata.insert("delivery_rate", *rate);
             d.process(&mut p, SimTime::ZERO).unwrap();
         }
         assert_eq!(d.program_mut().unwrap().state.reg_read("btl_bw", 0), 800);
         // Pacing = 800 * 5/4.
         let mut p = Packet::tcp(99, 1, 2, 3, 4, 0x10);
-        p.metadata.insert("delivery_rate".into(), 0);
+        p.metadata.insert("delivery_rate", 0);
         d.process(&mut p, SimTime::ZERO).unwrap();
         assert_eq!(p.metadata["pacing_rate"], 1000);
     }

@@ -135,7 +135,7 @@ mod tests {
     fn gateway_tags_untagged_traffic() {
         let mut d = dev(vlan_gateway().unwrap());
         let mut p = Packet::tcp(1, 1, 2, 3, 4, 0);
-        p.metadata.insert("tenant_vlan".into(), 300);
+        p.metadata.insert("tenant_vlan", 300);
         let r = d.process(&mut p, SimTime::ZERO).unwrap();
         assert_eq!(r.verdict, Verdict::Forward(0));
         assert_eq!(p.get_field("vlan.vid"), Some(300));
@@ -146,7 +146,7 @@ mod tests {
         let mut d = dev(vlan_gateway().unwrap());
         let mut p = Packet::tcp(1, 1, 2, 3, 4, 0);
         p.insert_header(flexnet_types::Header::vlan(999), Some("eth"));
-        p.metadata.insert("tenant_vlan".into(), 300);
+        p.metadata.insert("tenant_vlan", 300);
         assert_eq!(d.process(&mut p, SimTime::ZERO).unwrap().verdict, Verdict::Drop);
         assert_eq!(d.program_mut().unwrap().state.counter_read("violations"), 1);
     }

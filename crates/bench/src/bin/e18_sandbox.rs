@@ -90,11 +90,9 @@ fn main() {
 
     let total_lost: u64 = reports.iter().map(|r| r.lost).sum();
     let total_delivered: u64 = reports.iter().map(|r| r.delivered).sum();
-    let fleet_ppm = if total_lost + total_delivered > 0 {
-        total_lost * 1_000_000 / (total_lost + total_delivered)
-    } else {
-        0
-    };
+    let fleet_ppm = (total_lost * 1_000_000)
+        .checked_div(total_lost + total_delivered)
+        .unwrap_or(0);
     let rollbacks = reports.iter().filter(|r| r.rollout.is_some()).count();
     println!(
         "\nfleet loss across the whole sweep: {total_lost}/{} packets \

@@ -53,7 +53,7 @@ fn main() {
     host.install(cc::dctcp_host().unwrap()).unwrap();
     for i in 0..10_000u64 {
         let mut p = Packet::tcp(i, 1, 2, 3, 4, 0x10);
-        p.metadata.insert("queue_depth".into(), incast_profile(i));
+        p.metadata.insert("queue_depth", incast_profile(i));
         sw.process(&mut p, SimTime::from_micros(i)).unwrap();
         host.process(&mut p, SimTime::from_micros(i)).unwrap();
     }
@@ -71,7 +71,7 @@ fn main() {
     nic.install(cc::hpcc_nic().unwrap()).unwrap();
     for i in 0..10_000u64 {
         let mut p = Packet::tcp(i, 1, 2, 3, 4, 0x10);
-        p.metadata.insert("link_util".into(), 60); // incast: util stays low
+        p.metadata.insert("link_util", 60); // incast: util stays low
         nic.process(&mut p, SimTime::from_micros(i)).unwrap();
     }
     let adj = nic.program_mut().unwrap().state.counter_read("adjustments");
@@ -88,7 +88,7 @@ fn main() {
     let mut in_band = 0u64;
     for i in 0..10_000u64 {
         let mut p = Packet::tcp(i, 1, 2, 3, 4, 0x10);
-        p.metadata.insert("link_util".into(), longflow_profile(i));
+        p.metadata.insert("link_util", longflow_profile(i));
         nic2.process(&mut p, SimTime::from_micros(i)).unwrap();
         let util = longflow_profile(i);
         if (80..=95).contains(&util) {

@@ -2280,7 +2280,7 @@ pub(crate) mod tests {
         // Drive time forward until the transition commits.
         let mut t = SimTime::ZERO;
         for _ in 0..1000 {
-            t = t + SimDuration::from_millis(10);
+            t += SimDuration::from_millis(10);
             let mut pkt = Packet::tcp(1, 10, 20, 1, 80, 0);
             let r = d.process(&mut pkt, t).unwrap();
             if r.verdict == Verdict::Forward(2) {

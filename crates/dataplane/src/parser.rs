@@ -8,7 +8,7 @@
 
 use flexnet_lang::ast::HeaderDecl;
 use flexnet_lang::headers::HeaderRegistry;
-use flexnet_types::{FlexError, Packet, ResourceKind, ResourceVec, Result};
+use flexnet_types::{FlexError, Name, Packet, ResourceKind, ResourceVec, Result};
 use std::collections::BTreeMap;
 
 /// A device's parser: the set of header types it can extract.
@@ -132,13 +132,13 @@ impl ParserGraph {
     /// entirely. Membership verdicts come from the run-scoped cache.
     #[inline]
     pub fn all_visible_cached(&self, pkt: &Packet, cache: &mut ProtoCache) -> bool {
-        pkt.headers.iter().all(|h| cache.check(self, &h.proto))
+        pkt.headers.iter().all(|h| cache.check(self, h.proto))
     }
 
     /// [`ParserGraph::strip_invisible`] with the `can_parse` membership test
     /// served from a run-scoped [`ProtoCache`]. The burst path uses this —
     /// a burst shares a handful of protocol names, so the builtin scan plus
-    /// user-header map probe collapses to a short string-equality sweep over
+    /// user-header map probe collapses to a short pointer-compare sweep over
     /// names already ruled on this burst. The single-packet path keeps the
     /// uncached form.
     #[inline]
@@ -150,7 +150,7 @@ impl ParserGraph {
         let mut hidden = Vec::new();
         let mut stop = pkt.headers.len();
         for (i, h) in pkt.headers.iter().enumerate() {
-            if !cache.check(self, &h.proto) {
+            if !cache.check(self, h.proto) {
                 stop = i;
                 break;
             }
@@ -176,43 +176,28 @@ impl ParserGraph {
 ///
 /// The cache must be reset (not dropped) between bursts: a reconfiguration
 /// landing between two bursts can change the parser's accept set, but
-/// within one `process_burst` call the parser is fixed. String slots are
-/// reused across bursts (`clear()` + `push_str`) so the steady-state burst
-/// pump stays allocation-free.
+/// within one `process_burst` call the parser is fixed. Reset keeps the
+/// vector's capacity, so the steady-state burst pump stays
+/// allocation-free.
 #[derive(Debug, Default)]
 pub struct ProtoCache {
-    names: Vec<String>,
-    verdicts: Vec<bool>,
-    live: usize,
+    verdicts: Vec<(Name, bool)>,
 }
 
 impl ProtoCache {
-    /// Invalidates every memoized verdict while keeping slot capacity.
+    /// Invalidates every memoized verdict while keeping capacity.
     pub fn reset(&mut self) {
-        self.live = 0;
+        self.verdicts.clear();
     }
 
     /// Whether `parser` accepts `proto`, memoized for this burst.
     #[inline]
-    pub fn check(&mut self, parser: &ParserGraph, proto: &str) -> bool {
-        for (name, &verdict) in self.names[..self.live]
-            .iter()
-            .zip(&self.verdicts[..self.live])
-        {
-            if name == proto {
-                return verdict;
-            }
+    pub fn check(&mut self, parser: &ParserGraph, proto: Name) -> bool {
+        if let Some(&(_, verdict)) = self.verdicts.iter().find(|(n, _)| *n == proto) {
+            return verdict;
         }
-        let verdict = parser.can_parse(proto);
-        if self.live < self.names.len() {
-            self.names[self.live].clear();
-            self.names[self.live].push_str(proto);
-            self.verdicts[self.live] = verdict;
-        } else {
-            self.names.push(proto.to_string());
-            self.verdicts.push(verdict);
-        }
-        self.live += 1;
+        let verdict = parser.can_parse(&proto);
+        self.verdicts.push((proto, verdict));
         verdict
     }
 }

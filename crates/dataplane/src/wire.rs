@@ -22,7 +22,8 @@
 //! round-tripping is pinned by tests and exploited by the fuzz harness
 //! (valid frames must parse; arbitrary bytes must parse-or-trap).
 
-use flexnet_types::{FlexError, Header, Packet, Result, SimTime, Trap};
+use flexnet_types::names::*;
+use flexnet_types::{FlexError, Header, Name, Packet, Result, SimTime, Trap};
 
 /// Maximum 802.1Q tags the parser will walk before declaring the frame
 /// malformed (real pipelines bound VLAN stacking the same way).
@@ -197,15 +198,15 @@ pub fn parse_wire_into(bytes: &[u8], id: u64, pkt: &mut Packet) -> Result<()> {
     fill_header(
         headers,
         0,
-        "eth",
-        [("src", src), ("dst", dst), ("ethertype", ethertype)],
+        ETH,
+        [(DST, dst), (ETHERTYPE, ethertype), (SRC, src)],
     );
     for (i, tci) in tcis[..vlans].iter().enumerate() {
         fill_header(
             headers,
             1 + i,
-            "vlan",
-            [("vid", tci & 0x0fff), ("pcp", tci >> 13)],
+            VLAN,
+            [(PCP, tci >> 13), (VID, tci & 0x0fff)],
         );
     }
     let mut used = 1 + vlans;
@@ -250,14 +251,14 @@ pub fn parse_wire_into(bytes: &[u8], id: u64, pkt: &mut Packet) -> Result<()> {
         fill_header(
             headers,
             used,
-            "ipv4",
+            IPV4,
             [
-                ("src", be32(bytes, off + 12)),
-                ("dst", be32(bytes, off + 16)),
-                ("proto", proto as u64),
-                ("ttl", bytes[off + 8] as u64),
-                ("ecn", tos & 0x3),
-                ("dscp", tos >> 2),
+                (DSCP, tos >> 2),
+                (DST, be32(bytes, off + 16)),
+                (ECN, tos & 0x3),
+                (PROTO, proto as u64),
+                (SRC, be32(bytes, off + 12)),
+                (TTL, bytes[off + 8] as u64),
             ],
         );
         used += 1;
@@ -289,14 +290,14 @@ pub fn parse_wire_into(bytes: &[u8], id: u64, pkt: &mut Packet) -> Result<()> {
                 fill_header(
                     headers,
                     used,
-                    "tcp",
+                    TCP,
                     [
-                        ("sport", be16(bytes, off)),
-                        ("dport", be16(bytes, off + 2)),
-                        ("flags", bytes[off + 13] as u64),
-                        ("seq", be32(bytes, off + 4)),
-                        ("ack", be32(bytes, off + 8)),
-                        ("window", be16(bytes, off + 14)),
+                        (ACK, be32(bytes, off + 8)),
+                        (DPORT, be16(bytes, off + 2)),
+                        (FLAGS, bytes[off + 13] as u64),
+                        (SEQ, be32(bytes, off + 4)),
+                        (SPORT, be16(bytes, off)),
+                        (WINDOW, be16(bytes, off + 14)),
                     ],
                 );
                 used += 1;
@@ -322,8 +323,8 @@ pub fn parse_wire_into(bytes: &[u8], id: u64, pkt: &mut Packet) -> Result<()> {
                 fill_header(
                     headers,
                     used,
-                    "udp",
-                    [("sport", be16(bytes, off)), ("dport", be16(bytes, off + 2))],
+                    UDP,
+                    [(DPORT, be16(bytes, off + 2)), (SPORT, be16(bytes, off))],
                 );
                 used += 1;
                 payload_start = off + 8;
@@ -344,34 +345,29 @@ pub fn parse_wire_into(bytes: &[u8], id: u64, pkt: &mut Packet) -> Result<()> {
 }
 
 /// Writes header `at` of a stack being parsed in place: `proto` with
-/// exactly the fields `fields`.
+/// exactly the fields `fields`, given in string order.
 ///
-/// When the slot already holds `proto` with the same field names, only
-/// the values are written — no key `String` is allocated. Any other slot
+/// When the slot already holds `proto` with the same field names (a
+/// pointer compare per name), only the values are written. Any other slot
 /// is rebuilt, and a slot one past the end is pushed.
 fn fill_header<const N: usize>(
     headers: &mut Vec<Header>,
     at: usize,
-    proto: &str,
-    fields: [(&'static str, u64); N],
+    proto: Name,
+    fields: [(Name, u64); N],
 ) {
     let Some(h) = headers.get_mut(at) else {
-        headers.push(Header::new(proto, fields));
+        headers.push(Header::from_sorted(proto, fields));
         return;
     };
-    // `fields` names are distinct, so N hits in a map of N keys means the
-    // key sets are equal.
-    let same_shape = h.proto == proto
-        && h.fields.len() == N
-        && fields.iter().all(|&(k, v)| match h.fields.get_mut(k) {
-            Some(slot) => {
-                *slot = v;
-                true
-            }
-            None => false,
-        });
-    if !same_shape {
-        *h = Header::new(proto, fields);
+    let same_shape =
+        h.proto == proto && h.fields.keys().copied().eq(fields.iter().map(|&(k, _)| k));
+    if same_shape {
+        for (slot, (_, v)) in h.fields.values_mut().zip(fields) {
+            *slot = v;
+        }
+    } else {
+        *h = Header::from_sorted(proto, fields);
     }
 }
 
@@ -395,16 +391,16 @@ fn push48(out: &mut Vec<u8>, v: u64) {
 /// and the chaos suite, not to be a general serializer.
 pub fn encode_wire(pkt: &Packet) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
-    let eth = pkt.header("eth");
-    push48(&mut out, eth.and_then(|h| h.get("dst")).unwrap_or(2));
-    push48(&mut out, eth.and_then(|h| h.get("src")).unwrap_or(1));
+    let eth = pkt.header(ETH);
+    push48(&mut out, eth.and_then(|h| h.get(DST)).unwrap_or(2));
+    push48(&mut out, eth.and_then(|h| h.get(SRC)).unwrap_or(1));
 
-    let vlans: Vec<&Header> = pkt.headers.iter().filter(|h| h.proto == "vlan").collect();
-    let has_ip = pkt.has_header("ipv4");
+    let vlans: Vec<&Header> = pkt.headers.iter().filter(|h| h.proto == VLAN).collect();
+    let has_ip = pkt.has_header(IPV4);
     let inner_ethertype = if has_ip {
         0x0800
     } else {
-        eth.and_then(|h| h.get("ethertype")).unwrap_or(0xffff)
+        eth.and_then(|h| h.get(ETHERTYPE)).unwrap_or(0xffff)
     };
     if vlans.is_empty() {
         push16(&mut out, inner_ethertype);
@@ -413,7 +409,7 @@ pub fn encode_wire(pkt: &Packet) -> Vec<u8> {
         // carries the inner ethertype.
         for (i, v) in vlans.iter().enumerate() {
             push16(&mut out, 0x8100);
-            let tci = (v.get("pcp").unwrap_or(0) << 13) | (v.get("vid").unwrap_or(0) & 0x0fff);
+            let tci = (v.get(PCP).unwrap_or(0) << 13) | (v.get(VID).unwrap_or(0) & 0x0fff);
             push16(&mut out, tci);
             if i + 1 == vlans.len() {
                 push16(&mut out, inner_ethertype);
@@ -421,28 +417,28 @@ pub fn encode_wire(pkt: &Packet) -> Vec<u8> {
         }
     }
 
-    if let Some(ip) = pkt.header("ipv4") {
-        let proto = ip.get("proto").unwrap_or(0) as u8;
+    if let Some(ip) = pkt.header(IPV4) {
+        let proto = ip.get(PROTO).unwrap_or(0) as u8;
         let l4: Vec<u8> = match proto {
             6 => {
-                let t = pkt.header("tcp");
+                let t = pkt.header(TCP);
                 let mut l4 = Vec::with_capacity(20);
-                push16(&mut l4, t.and_then(|h| h.get("sport")).unwrap_or(0));
-                push16(&mut l4, t.and_then(|h| h.get("dport")).unwrap_or(0));
-                push32(&mut l4, t.and_then(|h| h.get("seq")).unwrap_or(0));
-                push32(&mut l4, t.and_then(|h| h.get("ack")).unwrap_or(0));
+                push16(&mut l4, t.and_then(|h| h.get(SPORT)).unwrap_or(0));
+                push16(&mut l4, t.and_then(|h| h.get(DPORT)).unwrap_or(0));
+                push32(&mut l4, t.and_then(|h| h.get(SEQ)).unwrap_or(0));
+                push32(&mut l4, t.and_then(|h| h.get(ACK)).unwrap_or(0));
                 l4.push(5 << 4); // data offset 5, no options
-                l4.push(t.and_then(|h| h.get("flags")).unwrap_or(0) as u8);
-                push16(&mut l4, t.and_then(|h| h.get("window")).unwrap_or(65_535));
+                l4.push(t.and_then(|h| h.get(FLAGS)).unwrap_or(0) as u8);
+                push16(&mut l4, t.and_then(|h| h.get(WINDOW)).unwrap_or(65_535));
                 push16(&mut l4, 0); // checksum (unchecked by the parser)
                 push16(&mut l4, 0); // urgent pointer
                 l4
             }
             17 => {
-                let u = pkt.header("udp");
+                let u = pkt.header(UDP);
                 let mut l4 = Vec::with_capacity(8);
-                push16(&mut l4, u.and_then(|h| h.get("sport")).unwrap_or(0));
-                push16(&mut l4, u.and_then(|h| h.get("dport")).unwrap_or(0));
+                push16(&mut l4, u.and_then(|h| h.get(SPORT)).unwrap_or(0));
+                push16(&mut l4, u.and_then(|h| h.get(DPORT)).unwrap_or(0));
                 push16(&mut l4, 8 + pkt.payload.len() as u64);
                 push16(&mut l4, 0); // checksum
                 l4
@@ -451,16 +447,16 @@ pub fn encode_wire(pkt: &Packet) -> Vec<u8> {
         };
         let total_len = 20 + l4.len() + pkt.payload.len();
         out.push(0x45); // version 4, ihl 5
-        let tos = (ip.get("dscp").unwrap_or(0) << 2) | (ip.get("ecn").unwrap_or(0) & 0x3);
+        let tos = (ip.get(DSCP).unwrap_or(0) << 2) | (ip.get(ECN).unwrap_or(0) & 0x3);
         out.push(tos as u8);
         push16(&mut out, total_len as u64);
         push16(&mut out, 0); // identification
         push16(&mut out, 0); // flags/fragment
-        out.push(ip.get("ttl").unwrap_or(64) as u8);
+        out.push(ip.get(TTL).unwrap_or(64) as u8);
         out.push(proto);
         push16(&mut out, 0); // checksum (unchecked by the parser)
-        push32(&mut out, ip.get("src").unwrap_or(0));
-        push32(&mut out, ip.get("dst").unwrap_or(0));
+        push32(&mut out, ip.get(SRC).unwrap_or(0));
+        push32(&mut out, ip.get(DST).unwrap_or(0));
         out.extend_from_slice(&l4);
     }
     out.extend_from_slice(&pkt.payload);
@@ -672,7 +668,7 @@ mod tests {
         // Program-mutated TCP: an added field, metadata, a trace entry.
         let mut mutated = Packet::tcp(90, 5, 6, 7, 8, 0x02);
         mutated.header_mut("tcp").unwrap().set("mark", 1);
-        mutated.metadata.insert("tenant".into(), 3);
+        mutated.metadata.insert("tenant", 3);
         mutated
             .trace
             .push((flexnet_types::NodeId(4), flexnet_types::ProgramVersion(2)));

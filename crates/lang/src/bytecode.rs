@@ -24,7 +24,7 @@
 use crate::ast::*;
 use crate::headers::HeaderRegistry;
 use crate::interp::{eval_bin, hash_values, ExecEnv, ExecOutcome, GAS_UNLIMITED, MAX_TABLE_KEY_WIDTH};
-use flexnet_types::{FlexError, Header, Packet, Result, Trap, Verdict};
+use flexnet_types::{names, FlexError, Fields, Header, Name, Packet, Result, Trap, Verdict};
 use std::collections::BTreeMap;
 
 /// The kind of symbol a [`SlotResolver`] is asked to resolve.
@@ -269,11 +269,11 @@ pub struct TableMeta {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeaderTemplate {
     /// The protocol name.
-    pub proto: String,
+    pub proto: Name,
     /// All declared fields, zeroed.
-    pub fields: BTreeMap<String, u64>,
+    pub fields: Fields,
     /// Where to insert: after this protocol, or at the top of the stack.
-    pub after: Option<String>,
+    pub after: Option<Name>,
 }
 
 /// A program lowered to slot-resolved bytecode.
@@ -291,15 +291,16 @@ pub struct CompiledProgram {
     pub handlers: Vec<(String, u32)>,
     /// Table metadata, indexed by [`Insn::Apply`]'s operand.
     pub tables: Vec<TableMeta>,
-    /// Interned dotted field paths (`ipv4.src`, `meta.mark`, …).
+    /// Interned dotted field paths (`ipv4.src`, `meta.mark`, …), for
+    /// display.
     pub field_names: Vec<String>,
-    /// The same interned fields pre-split into `(proto, field)` parts,
-    /// index-aligned with [`CompiledProgram::field_names`]. The vector
-    /// executor's prefetch lane reads these to skip the per-access
-    /// `split_once('.')` of the dotted form.
-    pub field_parts: Vec<(String, String)>,
+    /// The same fields as resolved `(proto, field)` names, index-aligned
+    /// with [`CompiledProgram::field_names`]; `meta` fields carry
+    /// [`names::META`] as their protocol. The VM reads and writes packets
+    /// through these, so a field access compares pointers.
+    pub field_parts: Vec<(Name, Name)>,
     /// Interned protocol names (for `valid` / `remove_header`).
-    pub proto_names: Vec<String>,
+    pub proto_names: Vec<Name>,
     /// Header-insertion templates (for `add_header`).
     pub header_templates: Vec<HeaderTemplate>,
     /// Service names by slot (for invocation logging / adapters).
@@ -524,8 +525,8 @@ impl Compiler<'_> {
         let id = self.out.field_names.len() as u32;
         self.out.field_names.push(dotted.clone());
         self.out.field_parts.push(match p {
-            FieldPath::Header(proto, field) => (proto.clone(), field.clone()),
-            FieldPath::Meta(field) => ("meta".to_string(), field.clone()),
+            FieldPath::Header(proto, field) => (Name::new(proto), Name::new(field)),
+            FieldPath::Meta(field) => (names::META, Name::new(field)),
         });
         self.field_ids.insert(dotted, id);
         id
@@ -536,7 +537,7 @@ impl Compiler<'_> {
             return id;
         }
         let id = self.out.proto_names.len() as u32;
-        self.out.proto_names.push(proto.to_string());
+        self.out.proto_names.push(Name::new(proto));
         self.proto_ids.insert(proto.to_string(), id);
         id
     }
@@ -549,14 +550,14 @@ impl Compiler<'_> {
         // header at the top of the stack.
         let decl = self.registry.decl(proto);
         let fields = decl
-            .map(|d| d.fields.iter().map(|f| (f.name.clone(), 0)).collect())
+            .map(|d| d.fields.iter().map(|f| (&f.name, 0)).collect())
             .unwrap_or_default();
         let after = decl
             .and_then(|d| d.follows.as_ref())
-            .map(|f| f.prev_proto.clone());
+            .map(|f| Name::new(&f.prev_proto));
         let id = self.out.header_templates.len() as u32;
         self.out.header_templates.push(HeaderTemplate {
-            proto: proto.to_string(),
+            proto: Name::new(proto),
             fields,
             after,
         });
@@ -876,8 +877,8 @@ pub fn execute_compiled_at<E: SlotEnv + ?Sized>(
 /// [`execute_compiled_at`], plus a prefetched field-value lane. Every
 /// interned field is read once into `scratch.fields` at handler entry
 /// (and refreshed after any header-set mutation), so `PushField` and
-/// table-key gathering become single indexed loads instead of a dotted
-/// string split plus header scan per access. Gas accounting, verdicts,
+/// table-key gathering become single indexed loads instead of a header
+/// scan plus field lookup per access. Gas accounting, verdicts,
 /// traps, and state effects are unchanged — the differential suite pins
 /// burst (this executor) against single-packet (the legacy one) across
 /// the whole gallery.
@@ -929,7 +930,7 @@ fn exec_inner<E: SlotEnv + ?Sized, const PREFETCH: bool>(
         () => {
             if PREFETCH {
                 fields.clear();
-                for (proto, field) in &prog.field_parts {
+                for &(proto, field) in &prog.field_parts {
                     fields.push(pkt.get_field_at(proto, field).unwrap_or(0));
                 }
             }
@@ -992,12 +993,13 @@ fn exec_inner<E: SlotEnv + ?Sized, const PREFETCH: bool>(
                 if PREFETCH {
                     stack.push(fields[*f as usize]);
                 } else {
-                    stack.push(pkt.get_field(&prog.field_names[*f as usize]).unwrap_or(0));
+                    let (proto, field) = prog.field_parts[*f as usize];
+                    stack.push(pkt.get_field_at(proto, field).unwrap_or(0));
                 }
             }
             Insn::PushValid(p) => {
                 tick!(1);
-                stack.push(pkt.has_header(&prog.proto_names[*p as usize]) as u64);
+                stack.push(pkt.has_header(prog.proto_names[*p as usize]) as u64);
             }
             Insn::MapGet(m) => {
                 tick!(1);
@@ -1085,12 +1087,12 @@ fn exec_inner<E: SlotEnv + ?Sized, const PREFETCH: bool>(
             Insn::StoreField(f) => {
                 tick!(1);
                 let v = pop!();
-                pkt.set_field(&prog.field_names[*f as usize], v);
+                let (proto, field) = prog.field_parts[*f as usize];
+                pkt.set_field_at(proto, field, v);
                 if PREFETCH {
                     // Write-through: refresh just this lane slot from the
                     // packet (a store to a missing header is a no-op, which
                     // the re-read reproduces exactly).
-                    let (proto, field) = &prog.field_parts[*f as usize];
                     fields[*f as usize] = pkt.get_field_at(proto, field).unwrap_or(0);
                 }
             }
@@ -1161,7 +1163,8 @@ fn exec_inner<E: SlotEnv + ?Sized, const PREFETCH: bool>(
                     keys.push(if PREFETCH {
                         fields[f as usize]
                     } else {
-                        pkt.get_field(&prog.field_names[f as usize]).unwrap_or(0)
+                        let (proto, field) = prog.field_parts[f as usize];
+                        pkt.get_field_at(proto, field).unwrap_or(0)
                     });
                 }
                 let dispatch = match env.table_lookup(meta.slot, keys) {
@@ -1252,20 +1255,20 @@ fn exec_inner<E: SlotEnv + ?Sized, const PREFETCH: bool>(
             Insn::AddHeader(t) => {
                 tick!(1);
                 let tpl = &prog.header_templates[*t as usize];
-                if !pkt.has_header(&tpl.proto) {
+                if !pkt.has_header(tpl.proto) {
                     pkt.insert_header(
                         Header {
-                            proto: tpl.proto.clone(),
+                            proto: tpl.proto,
                             fields: tpl.fields.clone(),
                         },
-                        tpl.after.as_deref(),
+                        tpl.after,
                     );
                     refetch!();
                 }
             }
             Insn::RemoveHeader(p) => {
                 tick!(1);
-                pkt.remove_header(&prog.proto_names[*p as usize]);
+                pkt.remove_header(prog.proto_names[*p as usize]);
                 refetch!();
             }
         }

@@ -346,10 +346,10 @@ impl<'a> Interp<'a> {
             Stmt::AddHeader(proto) => {
                 self.tick(1)?; // AddHeader
                 if !pkt.has_header(proto) {
-                    let mut fields = BTreeMap::new();
+                    let mut fields = flexnet_types::Fields::new();
                     if let Some(decl) = self.headers.decl(proto) {
                         for f in &decl.fields {
-                            fields.insert(f.name.clone(), 0);
+                            fields.insert(&f.name, 0);
                         }
                     }
                     let after = self
@@ -359,7 +359,7 @@ impl<'a> Interp<'a> {
                         .map(|f| f.prev_proto.clone());
                     pkt.insert_header(
                         flexnet_types::Header {
-                            proto: proto.clone(),
+                            proto: flexnet_types::Name::new(proto),
                             fields,
                         },
                         after.as_deref(),

@@ -382,11 +382,7 @@ mod tests {
         let at_b = b.rot_byte(16, 48).unwrap();
         assert_eq!(at_a, at_b, "rot draws only from the disk's private rng");
         assert!((16..48).contains(&at_a));
-        let diff: u32 = a
-            .synced_bytes()
-            .iter()
-            .map(|&x| u32::from(x.count_ones()))
-            .sum();
+        let diff: u32 = a.synced_bytes().iter().map(|&x| x.count_ones()).sum();
         assert_eq!(diff, 1, "exactly one bit flipped");
         assert_eq!(a.stats().rotted_bytes, 1);
     }

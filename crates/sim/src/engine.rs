@@ -20,7 +20,7 @@ use flexnet_dataplane::reconfig::ReconfigReport;
 use flexnet_dataplane::table::{KeyMatch, TableEntry};
 use flexnet_dataplane::ProcessResult;
 use flexnet_lang::diff::ProgramBundle;
-use flexnet_types::{LinkId, NodeId, Packet, SimDuration, SimTime, Verdict};
+use flexnet_types::{names, LinkId, NodeId, Packet, SimDuration, SimTime, Verdict};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
@@ -507,15 +507,15 @@ impl Simulation {
 
     fn arrive(&mut self, node_id: NodeId, mut pkt: Packet) {
         let now = self.now;
-        // Hop limit guard; the counter's key is allocated on the first hop only.
-        match pkt.metadata.get_mut("hops") {
+        // Hop limit guard; the counter's key is a static name.
+        match pkt.metadata.get_mut(names::HOPS) {
             Some(hops) if *hops >= HOP_LIMIT => {
                 self.metrics.record_lost(LossKind::HopLimit, now);
                 return;
             }
             Some(hops) => *hops += 1,
             None => {
-                pkt.metadata.insert("hops".into(), 1);
+                pkt.metadata.insert(names::HOPS, 1);
             }
         }
 
@@ -575,7 +575,7 @@ impl Simulation {
             Verdict::Forward(port) => {
                 let dst = pkt
                     .metadata
-                    .get("dst_node")
+                    .get(names::DST_NODE)
                     .map(|v| NodeId(*v as u32));
                 // Delivered when we are the destination host.
                 if dst == Some(node_id) && node_kind == NodeKind::Host {
@@ -803,7 +803,7 @@ mod tests {
             );
         }
         let mut pkt = Packet::udp(1, 1, 2, 3, 4);
-        pkt.metadata.insert("dst_node".into(), 99); // unreachable dst
+        pkt.metadata.insert("dst_node", 99); // unreachable dst
         sim.schedule(SimTime::from_millis(1), Command::Inject { node: a, packet: pkt });
         sim.run_to_completion();
         assert_eq!(
@@ -817,7 +817,7 @@ mod tests {
         let (topo, _sw, hosts) = Topology::single_switch(2);
         let mut sim = Simulation::new(topo);
         let mut pkt = Packet::udp(1, 1, 2, 3, 4);
-        pkt.metadata.insert("dst_node".into(), 999);
+        pkt.metadata.insert("dst_node", 999);
         sim.schedule(
             SimTime::from_millis(1),
             Command::Inject {

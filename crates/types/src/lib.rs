@@ -16,12 +16,14 @@
 
 pub mod error;
 pub mod id;
+pub mod name;
 pub mod packet;
 pub mod resources;
 pub mod time;
 
 pub use error::{FlexError, Result, StorageError, Trap};
 pub use id::{AppId, AppUri, LinkId, NodeId, ProgramVersion, TenantId, VlanId};
+pub use name::{names, Fields, Name, NameKey};
 pub use packet::{FlowKey, Header, Packet, Verdict};
 pub use resources::{ResourceKind, ResourceVec};
 pub use time::{SimDuration, SimTime};

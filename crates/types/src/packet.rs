@@ -8,59 +8,68 @@
 //! update will start extracting it — without recompiling this crate.
 
 use crate::id::{NodeId, ProgramVersion};
+use crate::name::names::*;
+use crate::name::{Fields, Name, NameKey};
 use crate::time::SimTime;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// One parsed header instance in a packet's header stack.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Header {
     /// Protocol name, e.g. `"ipv4"`, `"tcp"`, or a tenant-defined name.
-    pub proto: String,
+    pub proto: Name,
     /// Field name → value. Field widths are declared in FlexBPF header
     /// declarations; the packet representation stores raw values.
-    pub fields: BTreeMap<String, u64>,
+    pub fields: Fields,
 }
 
 impl Header {
-    /// Creates a header with the given protocol name and fields.
-    pub fn new(proto: &str, fields: impl IntoIterator<Item = (&'static str, u64)>) -> Header {
+    /// Creates a header with the given protocol name and fields. String
+    /// names are interned; the well-known constructors below use the
+    /// static names instead.
+    pub fn new<K: NameKey>(
+        proto: impl NameKey,
+        fields: impl IntoIterator<Item = (K, u64)>,
+    ) -> Header {
         Header {
-            proto: proto.to_string(),
-            fields: fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
+            proto: proto.name(),
+            fields: fields.into_iter().collect(),
+        }
+    }
+
+    /// A header from interned names, with `fields` already in string
+    /// order and distinct — one allocation and no interning.
+    pub fn from_sorted<const N: usize>(proto: Name, fields: [(Name, u64); N]) -> Header {
+        Header {
+            proto,
+            fields: Fields::from_sorted(Vec::from(fields)),
         }
     }
 
     /// Standard Ethernet header.
     pub fn ethernet(src: u64, dst: u64, ethertype: u64) -> Header {
-        Header::new(
-            "eth",
-            [("src", src), ("dst", dst), ("ethertype", ethertype)],
-        )
+        Header::from_sorted(ETH, [(DST, dst), (ETHERTYPE, ethertype), (SRC, src)])
     }
 
     /// 802.1Q VLAN tag.
     pub fn vlan(vid: u64) -> Header {
-        Header::new("vlan", [("vid", vid), ("pcp", 0)])
+        Header::from_sorted(VLAN, [(PCP, 0), (VID, vid)])
     }
 
     /// IPv4 header (addresses as u32-in-u64, `proto` is the IP protocol
     /// number: 6 = TCP, 17 = UDP).
     pub fn ipv4(src: u32, dst: u32, proto: u8) -> Header {
-        Header::new(
-            "ipv4",
+        Header::from_sorted(
+            IPV4,
             [
-                ("src", src as u64),
-                ("dst", dst as u64),
-                ("proto", proto as u64),
-                ("ttl", 64),
-                ("ecn", 0),
-                ("dscp", 0),
+                (DSCP, 0),
+                (DST, dst as u64),
+                (ECN, 0),
+                (PROTO, proto as u64),
+                (SRC, src as u64),
+                (TTL, 64),
             ],
         )
     }
@@ -68,32 +77,34 @@ impl Header {
     /// TCP header. `flags` uses the usual bit layout (0x02 = SYN, 0x10 = ACK,
     /// 0x01 = FIN, 0x04 = RST).
     pub fn tcp(sport: u16, dport: u16, flags: u8) -> Header {
-        Header::new(
-            "tcp",
+        Header::from_sorted(
+            TCP,
             [
-                ("sport", sport as u64),
-                ("dport", dport as u64),
-                ("flags", flags as u64),
-                ("seq", 0),
-                ("ack", 0),
-                ("window", 65_535),
+                (ACK, 0),
+                (DPORT, dport as u64),
+                (FLAGS, flags as u64),
+                (SEQ, 0),
+                (SPORT, sport as u64),
+                (WINDOW, 65_535),
             ],
         )
     }
 
     /// UDP header.
     pub fn udp(sport: u16, dport: u16) -> Header {
-        Header::new("udp", [("sport", sport as u64), ("dport", dport as u64)])
+        Header::from_sorted(UDP, [(DPORT, dport as u64), (SPORT, sport as u64)])
     }
 
     /// Reads a field value; `None` if the field is absent.
-    pub fn get(&self, field: &str) -> Option<u64> {
+    #[inline]
+    pub fn get(&self, field: impl NameKey) -> Option<u64> {
         self.fields.get(field).copied()
     }
 
     /// Writes a field value (creating the field if absent).
-    pub fn set(&mut self, field: &str, value: u64) {
-        self.fields.insert(field.to_string(), value);
+    #[inline]
+    pub fn set(&mut self, field: impl NameKey, value: u64) {
+        self.fields.insert(field, value);
     }
 }
 
@@ -129,30 +140,18 @@ impl FlowKey {
     /// Extracts the 5-tuple from a packet's header stack; `None` when the
     /// packet has no IPv4 header.
     pub fn extract(pkt: &Packet) -> Option<FlowKey> {
-        let ip = pkt.header("ipv4")?;
-        let proto = ip.get("proto").unwrap_or(0) as u8;
-        let (sp, dp) = match proto {
-            6 => {
-                let t = pkt.header("tcp");
-                (
-                    t.and_then(|h| h.get("sport")).unwrap_or(0) as u16,
-                    t.and_then(|h| h.get("dport")).unwrap_or(0) as u16,
-                )
-            }
-            17 => {
-                let u = pkt.header("udp");
-                (
-                    u.and_then(|h| h.get("sport")).unwrap_or(0) as u16,
-                    u.and_then(|h| h.get("dport")).unwrap_or(0) as u16,
-                )
-            }
-            _ => (0, 0),
+        let ip = pkt.header(IPV4)?;
+        let proto = ip.get(PROTO).unwrap_or(0) as u8;
+        let l4 = match proto {
+            6 => pkt.header(TCP),
+            17 => pkt.header(UDP),
+            _ => None,
         };
         Some(FlowKey {
-            src_ip: ip.get("src").unwrap_or(0) as u32,
-            dst_ip: ip.get("dst").unwrap_or(0) as u32,
-            src_port: sp,
-            dst_port: dp,
+            src_ip: ip.get(SRC).unwrap_or(0) as u32,
+            dst_ip: ip.get(DST).unwrap_or(0) as u32,
+            src_port: l4.and_then(|h| h.get(SPORT)).unwrap_or(0) as u16,
+            dst_port: l4.and_then(|h| h.get(DPORT)).unwrap_or(0) as u16,
             proto,
         })
     }
@@ -211,7 +210,7 @@ pub struct Packet {
     pub payload: Bytes,
     /// Per-packet scratch metadata written by programs (like P4 metadata or
     /// eBPF per-packet context).
-    pub metadata: BTreeMap<String, u64>,
+    pub metadata: Fields,
     /// When the packet entered the network.
     pub ingress_time: SimTime,
     /// Audit trail: which device processed this packet with which program
@@ -229,7 +228,7 @@ impl Packet {
             headers,
             payload_len,
             payload: Bytes::new(),
-            metadata: BTreeMap::new(),
+            metadata: Fields::new(),
             ingress_time: SimTime::ZERO,
             trace: Vec::new(),
         }
@@ -268,12 +267,11 @@ impl Packet {
         let hdr: u32 = self
             .headers
             .iter()
-            .map(|h| match h.proto.as_str() {
-                "eth" => 14,
-                "vlan" => 4,
-                "ipv4" => 20,
-                "tcp" => 20,
-                "udp" => 8,
+            .map(|h| match h.proto {
+                p if p == ETH => 14,
+                p if p == VLAN => 4,
+                p if p == IPV4 || p == TCP => 20,
+                p if p == UDP => 8,
                 _ => (4 * h.fields.len().max(1)) as u32,
             })
             .sum();
@@ -282,19 +280,19 @@ impl Packet {
 
     /// Finds the first header with the given protocol name.
     #[inline]
-    pub fn header(&self, proto: &str) -> Option<&Header> {
-        self.headers.iter().find(|h| h.proto == proto)
+    pub fn header(&self, proto: impl NameKey) -> Option<&Header> {
+        self.headers.iter().find(|h| proto.is(h.proto))
     }
 
     /// Finds the first header with the given protocol name, mutably.
     #[inline]
-    pub fn header_mut(&mut self, proto: &str) -> Option<&mut Header> {
-        self.headers.iter_mut().find(|h| h.proto == proto)
+    pub fn header_mut(&mut self, proto: impl NameKey) -> Option<&mut Header> {
+        self.headers.iter_mut().find(|h| proto.is(h.proto))
     }
 
     /// Whether the stack contains a header of the given protocol.
     #[inline]
-    pub fn has_header(&self, proto: &str) -> bool {
+    pub fn has_header(&self, proto: impl NameKey) -> bool {
         self.header(proto).is_some()
     }
 
@@ -306,12 +304,11 @@ impl Packet {
     }
 
     /// Reads a field by pre-split path parts — the split-free form of
-    /// [`Packet::get_field`] used when the caller already holds the
-    /// protocol and field names separately (e.g. the vector executor's
-    /// field-prefetch lane).
+    /// [`Packet::get_field`]. With [`Name`]s (as compiled programs hold
+    /// them) every comparison is a pointer compare.
     #[inline]
-    pub fn get_field_at(&self, proto: &str, field: &str) -> Option<u64> {
-        if proto == "meta" {
+    pub fn get_field_at(&self, proto: impl NameKey, field: impl NameKey) -> Option<u64> {
+        if proto.is(META) {
             return self.metadata.get(field).copied();
         }
         self.header(proto)?.get(field)
@@ -323,8 +320,15 @@ impl Packet {
         let Some((proto, field)) = path.split_once('.') else {
             return false;
         };
-        if proto == "meta" {
-            self.metadata.insert(field.to_string(), value);
+        self.set_field_at(proto, field, value)
+    }
+
+    /// Writes a field by pre-split path parts — the split-free form of
+    /// [`Packet::set_field`].
+    #[inline]
+    pub fn set_field_at(&mut self, proto: impl NameKey, field: impl NameKey, value: u64) -> bool {
+        if proto.is(META) {
+            self.metadata.insert(field, value);
             return true;
         }
         match self.header_mut(proto) {
@@ -338,16 +342,16 @@ impl Packet {
 
     /// Pushes a header after the outermost header of `after_proto`
     /// (or at the top of the stack when `after_proto` is `None`).
-    pub fn insert_header(&mut self, header: Header, after_proto: Option<&str>) {
-        match after_proto.and_then(|p| self.headers.iter().position(|h| h.proto == p)) {
+    pub fn insert_header<K: NameKey>(&mut self, header: Header, after_proto: Option<K>) {
+        match after_proto.and_then(|p| self.headers.iter().position(|h| p.is(h.proto))) {
             Some(idx) => self.headers.insert(idx + 1, header),
             None => self.headers.insert(0, header),
         }
     }
 
     /// Removes the first header of the given protocol; returns it if present.
-    pub fn remove_header(&mut self, proto: &str) -> Option<Header> {
-        let idx = self.headers.iter().position(|h| h.proto == proto)?;
+    pub fn remove_header(&mut self, proto: impl NameKey) -> Option<Header> {
+        let idx = self.headers.iter().position(|h| proto.is(h.proto))?;
         Some(self.headers.remove(idx))
     }
 
@@ -415,8 +419,42 @@ mod tests {
     #[test]
     fn insert_header_top_of_stack() {
         let mut p = Packet::new(1, vec![Header::ipv4(1, 2, 6)], 10);
-        p.insert_header(Header::ethernet(9, 9, 0x0800), None);
+        p.insert_header(Header::ethernet(9, 9, 0x0800), None::<&str>);
         assert_eq!(p.headers[0].proto, "eth");
+    }
+
+    #[test]
+    fn well_known_constructors_match_header_new() {
+        let ipv4 = [("src", 1), ("dst", 2), ("proto", 6)];
+        let ipv4_rest = [("ttl", 64), ("ecn", 0), ("dscp", 0)];
+        let tcp = [("sport", 1), ("dport", 2), ("flags", 3)];
+        let tcp_rest = [("seq", 0), ("ack", 0), ("window", 65_535)];
+        let cases = [
+            (
+                Header::ethernet(1, 2, 3),
+                Header::new("eth", [("src", 1), ("dst", 2), ("ethertype", 3)]),
+            ),
+            (
+                Header::vlan(7),
+                Header::new("vlan", [("vid", 7), ("pcp", 0)]),
+            ),
+            (
+                Header::ipv4(1, 2, 6),
+                Header::new("ipv4", ipv4.into_iter().chain(ipv4_rest)),
+            ),
+            (
+                Header::tcp(1, 2, 3),
+                Header::new("tcp", tcp.into_iter().chain(tcp_rest)),
+            ),
+            (
+                Header::udp(1, 2),
+                Header::new("udp", [("sport", 1), ("dport", 2)]),
+            ),
+        ];
+        for (fast, slow) in cases {
+            assert_eq!(fast, slow);
+            assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
+        }
     }
 
     #[test]
@@ -429,7 +467,7 @@ mod tests {
     #[test]
     fn custom_header_wire_len_scales_with_fields() {
         let mut p = Packet::new(1, vec![], 0);
-        p.insert_header(Header::new("custom", [("a", 1), ("b", 2)]), None);
+        p.insert_header(Header::new("custom", [("a", 1), ("b", 2)]), None::<&str>);
         assert_eq!(p.wire_len(), 8);
     }
 

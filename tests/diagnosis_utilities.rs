@@ -37,7 +37,7 @@ fn inject_trace_retire_cycle() {
     // Wait out the transitions, then send one probe cross-pod.
     sim.run(SimTime::from_millis(200));
     let mut probe = Packet::udp(1, 1, 2, 3, 4);
-    probe.metadata.insert("dst_node".into(), hosts[1].raw() as u64);
+    probe.metadata.insert("dst_node", hosts[1].raw() as u64);
     sim.metrics.keep_packets = true;
     sim.schedule(
         SimTime::from_millis(250),

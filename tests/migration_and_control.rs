@@ -86,7 +86,7 @@ fn device_invocations_flow_to_drpc_registry() {
     let mut deps = Vec::new();
     for i in 0..5u64 {
         let mut p = Packet::tcp(i, 1, 2, 3, 4444, 0x10);
-        p.metadata.insert("dst_node".into(), hosts[1].raw() as u64);
+        p.metadata.insert("dst_node", hosts[1].raw() as u64);
         deps.push(flexnet_sim::Departure {
             at: SimTime::from_millis(1 + i),
             node: hosts[0],

@@ -171,7 +171,7 @@ fn prior_packet((kind, addr, meta): (u8, u32, u64)) -> Packet {
             p
         }
     };
-    p.metadata.insert("mark".into(), meta);
+    p.metadata.insert("mark", meta);
     p.trace.push((NodeId(addr), ProgramVersion(meta)));
     p.ingress_time = SimTime::from_millis(meta % 1000);
     p.payload = vec![addr as u8; (meta % 32) as usize].into();

@@ -127,7 +127,7 @@ fn tenant_traffic_only_hits_its_own_guard() {
         if tagged {
             p.insert_header(flexnet_types::Header::vlan(vlan.0 as u64), Some("eth"));
         }
-        p.metadata.insert("dst_node".into(), 1);
+        p.metadata.insert("dst_node", 1);
         p
     };
 
